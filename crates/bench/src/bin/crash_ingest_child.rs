@@ -6,26 +6,25 @@
 //! recovered state against the acked-prefix oracle.
 //!
 //! ```text
-//! crash_ingest_child DIR NBITS SHARDS N_OPS SEED STORAGE CKPT_EVERY
+//! crash_ingest_child DIR NBITS SHARDS N_OPS SEED CKPT_EVERY
 //! ```
 //!
-//! `STORAGE` is `heap` or `mmap` (what the WAL checkpoints into);
 //! `CKPT_EVERY` > 0 checkpoints after every that-many acked ops, so a
-//! SIGKILL can land *during* a checkpoint — the meta-flip / snapshot-
-//! rename atomicity the recovery tests exist to probe.
+//! SIGKILL can land *during* a checkpoint — the meta-flip atomicity the
+//! recovery tests exist to probe.
 //!
 //! The op stream for `(NBITS, N_OPS, SEED)` is shared with the parent via
 //! [`sg_bench::workloads::crash_ops`], so both sides agree byte-for-byte
 //! on what op `i` is.
 
 use sg_bench::workloads::crash_ops;
-use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, StorageMode};
+use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor};
 use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() != 7 {
-        eprintln!("usage: crash_ingest_child DIR NBITS SHARDS N_OPS SEED STORAGE CKPT_EVERY");
+    if args.len() != 6 {
+        eprintln!("usage: crash_ingest_child DIR NBITS SHARDS N_OPS SEED CKPT_EVERY");
         std::process::exit(2);
     }
     let dir = &args[0];
@@ -33,8 +32,7 @@ fn main() {
     let shards: usize = args[2].parse().expect("SHARDS");
     let n_ops: usize = args[3].parse().expect("N_OPS");
     let seed: u64 = args[4].parse().expect("SEED");
-    let storage = StorageMode::parse(&args[5]).expect("STORAGE is heap|mmap");
-    let ckpt_every: usize = args[6].parse().expect("CKPT_EVERY");
+    let ckpt_every: usize = args[5].parse().expect("CKPT_EVERY");
 
     let exec = ShardedExecutor::open_durable(
         nbits,
@@ -43,7 +41,7 @@ fn main() {
             partitioner: Partitioner::RoundRobin,
             ..ExecConfig::default()
         },
-        &DurabilityConfig::new(dir).storage(storage),
+        &DurabilityConfig::mmap(dir),
     )
     .expect("open durable executor");
 

@@ -6,7 +6,7 @@
 //!
 //! EXPERIMENT: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //!             fig14 fig15 fig16 fig17 ablate scaling serve spans ingest
-//!             restart health kernels profile all (default: all)
+//!             health kernels profile all (default: all)
 //! --scale F   scales every dataset cardinality by F (default 1.0 = the
 //!             paper's sizes; use 0.1 for a quick pass)
 //! --queries N queries per experimental point (default 100, as the paper;
@@ -72,7 +72,7 @@ fn parse_args() -> Opts {
             "--help" | "-h" => {
                 println!("repro [EXPERIMENT ...] [--scale F] [--queries N] [--out DIR]");
                 println!(
-                    "experiments: table1 fig5..fig17 ablate scaling serve spans ingest restart \
+                    "experiments: table1 fig5..fig17 ablate scaling serve spans ingest \
                      health kernels profile all"
                 );
                 std::process::exit(0);
@@ -166,9 +166,6 @@ fn main() {
     }
     if want("ingest") {
         finish_section(registry, &mut last, ingest(&opts), &mut tables);
-    }
-    if want("restart") {
-        finish_section(registry, &mut last, restart(&opts), &mut tables);
     }
     if want("health") {
         finish_section(registry, &mut last, health(&opts), &mut tables);
@@ -1351,7 +1348,6 @@ fn ingest(opts: &Opts) -> Vec<Table> {
             let durability = DurabilityConfig {
                 dir: dir.clone(),
                 fsync,
-                storage: sg_exec::StorageMode::Heap,
             };
             let exec = ShardedExecutor::open_durable(NBITS, &config, &durability)
                 .expect("open durable executor");
@@ -1419,138 +1415,6 @@ fn ingest(opts: &Opts) -> Vec<Table> {
         match std::fs::write(path, Json::Arr(entries).to_string_pretty()) {
             Ok(()) => eprintln!("[ingest] appended trajectory entry to {path}"),
             Err(e) => eprintln!("[ingest] could not write {path}: {e}"),
-        }
-    }
-    vec![out]
-}
-
-// ------------------------------------------------------------ Restart
-
-/// The `restart` figure: reopen time as a function of ingested volume,
-/// heap vs mmap storage. Both modes checkpoint before closing — the
-/// production restart scenario — so the WAL tail is the same small
-/// constant on both sides. What differs is what the checkpoint *is*: the
-/// heap executor reloads and re-inserts every snapshot record (linear in
-/// N), while the mmap store maps its committed pages and replays only the
-/// tail (flat in N). The largest point of each curve is appended to
-/// `BENCH_restart.json` as the cross-PR trajectory.
-fn restart(opts: &Opts) -> Vec<Table> {
-    use sg_bench::workloads::crash_ops;
-    use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, StorageMode};
-    use sg_obs::json::Json;
-
-    const NBITS: u32 = 256;
-    const SHARDS: usize = 4;
-    const TAIL_OPS: usize = 64;
-    eprintln!("[restart] reopen cost vs ingested ops, heap replay vs mmap pages…");
-
-    let mut out = Table::new(
-        "restart",
-        "Restart: reopen time after checkpointing N ops (heap replays the snapshot, mmap maps it)",
-        &[
-            "ops",
-            "storage",
-            "open ms",
-            "snapshot",
-            "wal tail",
-            "recovered",
-        ],
-    );
-    // (ops, heap_ms, mmap_ms) at the largest point, for the trajectory.
-    let mut largest: Option<(usize, f64, f64)> = None;
-    let sizes: Vec<usize> = [4_000usize, 16_000, 64_000]
-        .iter()
-        .map(|&n| scaled(n, opts.scale).max(TAIL_OPS + 1))
-        .collect();
-    for &n_ops in &sizes {
-        let ops = crash_ops(NBITS, n_ops, SEED ^ 0xEE);
-        let mut point = (n_ops, 0.0f64, 0.0f64);
-        for storage in [StorageMode::Heap, StorageMode::Mmap] {
-            let dir = std::env::temp_dir().join(format!(
-                "sg-repro-restart-{}-{n_ops}-{}",
-                std::process::id(),
-                storage.as_str()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let config = ExecConfig {
-                shards: SHARDS,
-                partitioner: Partitioner::RoundRobin,
-                page_size: PAGE_SIZE,
-                pool_frames: POOL_FRAMES,
-                ..ExecConfig::default()
-            };
-            let durability = DurabilityConfig::os_only(&dir).storage(storage);
-            let exec = ShardedExecutor::open_durable(NBITS, &config, &durability)
-                .expect("open durable executor");
-            // Bulk of the volume lands before the checkpoint; a fixed-size
-            // tail stays in the WAL so both modes replay the same few
-            // records on reopen.
-            for chunk in ops[..n_ops - TAIL_OPS].chunks(256) {
-                for ack in exec.write_batch(chunk.to_vec()) {
-                    ack.expect("restart ingest op");
-                }
-            }
-            exec.checkpoint().expect("checkpoint before close");
-            for chunk in ops[n_ops - TAIL_OPS..].chunks(256) {
-                for ack in exec.write_batch(chunk.to_vec()) {
-                    ack.expect("restart tail op");
-                }
-            }
-            drop(exec);
-
-            let t0 = Instant::now();
-            let exec = ShardedExecutor::open_durable(NBITS, &config, &durability)
-                .expect("reopen durable executor");
-            let open_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let report = exec.recovery().expect("durable reopen has a report");
-            out.row(vec![
-                n_ops.to_string(),
-                storage.as_str().to_string(),
-                f(open_ms),
-                report.snapshot_entries.to_string(),
-                report.wal_records.to_string(),
-                exec.len().to_string(),
-            ]);
-            match storage {
-                StorageMode::Heap => point.1 = open_ms,
-                StorageMode::Mmap => point.2 = open_ms,
-            }
-            drop(exec);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        largest = Some(point);
-    }
-
-    // The fixed restart point tracked across PRs: reopen latency for both
-    // modes at the largest volume, plus the heap/mmap ratio the "flat vs
-    // linear" claim rides on.
-    if let Some((n_ops, heap_ms, mmap_ms)) = largest {
-        let path = "BENCH_restart.json";
-        let mut entries = match std::fs::read_to_string(path) {
-            Ok(text) => match sg_obs::json::parse(&text) {
-                Ok(Json::Arr(entries)) => entries,
-                _ => Vec::new(),
-            },
-            Err(_) => Vec::new(),
-        };
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        entries.push(Json::Obj(vec![
-            ("unix_ms".into(), Json::U64(unix_ms)),
-            ("ops".into(), Json::U64(n_ops as u64)),
-            ("wal_tail".into(), Json::U64(TAIL_OPS as u64)),
-            ("heap_open_ms".into(), Json::F64(heap_ms)),
-            ("mmap_open_ms".into(), Json::F64(mmap_ms)),
-            (
-                "heap_over_mmap".into(),
-                Json::F64(heap_ms / mmap_ms.max(1e-9)),
-            ),
-        ]));
-        match std::fs::write(path, Json::Arr(entries).to_string_pretty()) {
-            Ok(()) => eprintln!("[restart] appended trajectory entry to {path}"),
-            Err(e) => eprintln!("[restart] could not write {path}: {e}"),
         }
     }
     vec![out]

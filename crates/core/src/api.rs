@@ -13,9 +13,6 @@
 //! * [`SetIndex`] — the object-safe trait every backend implements, so
 //!   differential tests and benches iterate `dyn SetIndex` instead of
 //!   copy-pasting per-backend arms.
-//!
-//! The legacy per-type methods survive as thin `#[deprecated]` shims that
-//! forward here, so downstream call sites migrate mechanically.
 
 use crate::query::{Neighbor, SharedBound};
 use crate::scan::ScanIndex;
@@ -294,8 +291,8 @@ fn check_nbits(expected: u32, q: &Signature) -> SgResult<()> {
 }
 
 impl SgTree {
-    /// Answers `req` under `opts` — the unified entry point subsuming the
-    /// per-type method pairs (`knn`/`knn_explain`, …).
+    /// Answers `req` under `opts` — the unified entry point for every
+    /// query kind, traced or not.
     pub fn query(&self, req: &QueryRequest, opts: &QueryOptions) -> SgResult<QueryResponse> {
         self.query_dispatch(req, opts, None)
     }

@@ -65,8 +65,6 @@ pub use sg_obs::{IndexObs, QueryTrace, Registry};
 pub use sg_pager::{SgError, SgResult};
 pub use stats::QueryStats;
 pub use tree::SgTree;
-#[allow(deprecated)]
-pub use tree::TreeError;
 pub use treestats::{LevelStats, TreeStats};
 
 /// Transaction identifier stored in leaf entries.

@@ -407,9 +407,8 @@ impl SgTree {
     }
 
     /// Runs `f` (one of the public untraced query methods' bodies) under a
-    /// fresh EXPLAIN trace labelled `label`. Used by the unified
-    /// [`SgTree::query`](crate::api) path for the kinds that never had a
-    /// dedicated `*_explain` method.
+    /// fresh EXPLAIN trace labelled `label`, for the unified
+    /// [`SgTree::query`](crate::api) path.
     pub(crate) fn run_traced_request<R>(
         &self,
         label: &str,
@@ -418,8 +417,7 @@ impl SgTree {
         self.run_query_traced(label, |ctx| f(self, ctx))
     }
 
-    /// Traced k-NN (depth-first), for the unified API and the deprecated
-    /// `knn_explain` shim.
+    /// Traced k-NN (depth-first), for the unified API.
     pub(crate) fn knn_traced(
         &self,
         q: &Signature,
@@ -472,8 +470,7 @@ impl SgTree {
         (result, stats, trace)
     }
 
-    /// Traced subset query, for the unified API (`contained_in` has no
-    /// legacy `*_explain` twin).
+    /// Traced subset query, for the unified API.
     pub(crate) fn contained_in_traced(&self, q: &Signature) -> (Vec<Tid>, QueryStats, QueryTrace) {
         let (result, stats, mut trace) = self.run_traced_request("contained-in", |tree, ctx| {
             containment::contained_in(tree, q, ctx)
@@ -488,78 +485,5 @@ impl SgTree {
             self.run_traced_request("exact", |tree, ctx| containment::exact(tree, q, ctx));
         trace.results = result.len() as u64;
         (result, stats, trace)
-    }
-
-    /// [`SgTree::knn`] with an EXPLAIN-style [`QueryTrace`]: per-level
-    /// nodes visited, entries pruned by the directory lower bound,
-    /// lower-bound evaluations and exact distances, plus pool behaviour.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(&QueryRequest::Knn { .. }, &QueryOptions::traced())`"
-    )]
-    pub fn knn_explain(
-        &self,
-        q: &Signature,
-        k: usize,
-        metric: &Metric,
-    ) -> (Vec<Neighbor>, QueryStats, QueryTrace) {
-        self.knn_traced(q, k, metric)
-    }
-
-    /// [`SgTree::knn_shared`] with an EXPLAIN-style [`QueryTrace`] — the
-    /// per-shard trace the sharded executor nests under its fan-out trace.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_shared(&QueryRequest::Knn { .. }, &QueryOptions::traced(), bound)`"
-    )]
-    pub fn knn_shared_explain(
-        &self,
-        q: &Signature,
-        k: usize,
-        metric: &Metric,
-        shared: &SharedBound,
-    ) -> (Vec<Neighbor>, QueryStats, QueryTrace) {
-        self.knn_shared_traced(q, k, metric, shared)
-    }
-
-    /// [`SgTree::knn_best_first`] with an EXPLAIN-style [`QueryTrace`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query` with `QueryOptions::traced()` (best-first stays available untraced)"
-    )]
-    pub fn knn_best_first_explain(
-        &self,
-        q: &Signature,
-        k: usize,
-        metric: &Metric,
-    ) -> (Vec<Neighbor>, QueryStats, QueryTrace) {
-        let label = format!("knn-best-first k={k} metric={:?}", metric.kind());
-        let (result, stats, mut trace) =
-            self.run_query_traced(&label, |ctx| bestfirst::knn(self, q, k, metric, ctx));
-        trace.results = result.len() as u64;
-        (result, stats, trace)
-    }
-
-    /// [`SgTree::range`] with an EXPLAIN-style [`QueryTrace`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(&QueryRequest::Range { .. }, &QueryOptions::traced())`"
-    )]
-    pub fn range_explain(
-        &self,
-        q: &Signature,
-        eps: f64,
-        metric: &Metric,
-    ) -> (Vec<Neighbor>, QueryStats, QueryTrace) {
-        self.range_traced(q, eps, metric)
-    }
-
-    /// [`SgTree::containing`] with an EXPLAIN-style [`QueryTrace`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query(&QueryRequest::Containing { .. }, &QueryOptions::traced())`"
-    )]
-    pub fn containing_explain(&self, q: &Signature) -> (Vec<Tid>, QueryStats, QueryTrace) {
-        self.containing_traced(q)
     }
 }

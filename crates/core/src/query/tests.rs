@@ -600,21 +600,6 @@ fn knn_explain_trace_is_consistent_and_roundtrips() {
 }
 
 #[test]
-#[allow(deprecated)] // the deprecated shim itself is under test here
-fn best_first_explain_trace_is_consistent() {
-    let data = make_data(800);
-    let tree = tree_of(&data);
-    let m = Metric::hamming();
-    let q = Signature::from_items(NBITS, &[3, 17, 40]);
-    let (hits, stats, trace) = tree.knn_best_first_explain(&q, 5, &m);
-    assert_eq!(trace.results, hits.len() as u64);
-    assert_trace_matches_stats(&trace, &stats);
-    assert_trace_conservation(&trace);
-    let back = crate::QueryTrace::from_json(&trace.to_json()).unwrap();
-    assert_eq!(back, trace);
-}
-
-#[test]
 fn range_and_containing_traces_are_consistent() {
     let data = make_data(500);
     let tree = tree_of(&data);

@@ -11,13 +11,6 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SGTREE01";
 
-/// Former per-crate error type, now an alias of the workspace-wide
-/// [`SgError`] (the `BadMeta` / `BadConfig` variants live there), so
-/// `matches!(err, Err(SgError::BadConfig(_)))`-style call sites keep
-/// compiling while they migrate.
-#[deprecated(since = "0.1.0", note = "use `SgError` (re-exported by this crate)")]
-pub type TreeError = SgError;
-
 /// A signature tree over a page store.
 ///
 /// Mutations (`insert`, `delete`) take `&mut self`; queries take `&self`.

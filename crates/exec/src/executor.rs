@@ -13,7 +13,8 @@ use crate::obs::ExecObs;
 use crate::partition::Partitioner;
 use crate::pool::ThreadPool;
 use crate::shard::{
-    read_meta, write_meta, DurabilityConfig, RecoveryReport, Shard, StorageMode, WriteAck, WriteOp,
+    read_meta, refuse_heap_checkpoints, write_meta, DurabilityConfig, RecoveryReport, Shard,
+    WriteAck, WriteOp,
 };
 use sg_obs::json::Json;
 use sg_obs::{
@@ -29,20 +30,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// One query of a heterogeneous batch.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `QueryRequest` (re-exported by this crate)"
-)]
-pub type BatchQuery = QueryRequest;
-
-/// A batch query's merged answer.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `QueryOutput` (re-exported by this crate)"
-)]
-pub type BatchOutput = QueryOutput;
 
 /// Construction parameters for a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
@@ -173,15 +160,16 @@ impl ShardedExecutor {
     }
 
     /// Opens (creating if absent) a durable executor rooted at
-    /// `durability.dir`: one WAL + checkpoint snapshot per shard plus a
-    /// meta file pinning the layout. Reopening replays each shard's
-    /// snapshot and log, so the executor recovers to the last acknowledged
-    /// write after a crash; [`ShardedExecutor::recovery`] reports what was
-    /// replayed.
+    /// `durability.dir`: one WAL + mmap'd copy-on-write page file per
+    /// shard plus a meta file pinning the layout. Reopening maps each
+    /// shard's committed pages and replays its WAL tail, so the executor
+    /// recovers to the last acknowledged write after a crash;
+    /// [`ShardedExecutor::recovery`] reports what was replayed.
     ///
     /// An existing directory's shard count and partitioner override
     /// `config` — routing must match the layout the data was written
-    /// under — but a `nbits` mismatch is refused outright.
+    /// under — but a `nbits` mismatch is refused outright, as is a
+    /// directory holding heap-storage checkpoints (`shard-NNN.ckpt`).
     pub fn open_durable(
         nbits: u32,
         config: &ExecConfig,
@@ -189,6 +177,7 @@ impl ShardedExecutor {
     ) -> SgResult<ShardedExecutor> {
         std::fs::create_dir_all(&durability.dir)
             .map_err(|e| SgError::io("creating the durable executor directory", e))?;
+        refuse_heap_checkpoints(&durability.dir)?;
         let (shard_count, partitioner) = match read_meta(&durability.dir)? {
             Some((meta_nbits, shards, partitioner)) => {
                 if meta_nbits != nbits {
@@ -219,7 +208,6 @@ impl ShardedExecutor {
                 &durability.dir,
                 idx,
                 durability.fsync,
-                durability.storage,
                 nbits,
                 &tree_config,
                 config.page_size,
@@ -397,13 +385,7 @@ impl ShardedExecutor {
             ),
             (
                 "storage".to_string(),
-                Json::Obj(vec![
-                    (
-                        "mode".to_string(),
-                        Json::Str(self.storage_mode().as_str().to_string()),
-                    ),
-                    ("stores".to_string(), Json::Arr(store_docs)),
-                ]),
+                Json::Obj(vec![("stores".to_string(), Json::Arr(store_docs))]),
             ),
         ])
     }
@@ -455,9 +437,9 @@ impl ShardedExecutor {
     }
 
     /// Registers page-store instruments under `<prefix>.*` and attaches
-    /// them to every mmap shard's store (gauges are adjusted by delta, so
-    /// all shards share one instrument set). Returns `None` when no shard
-    /// uses the mmap store. Effective once per store.
+    /// them to every durable shard's store (gauges are adjusted by delta,
+    /// so all shards share one instrument set). Returns `None` for a
+    /// memory-only executor. Effective once per store.
     pub fn register_store_obs(
         &self,
         registry: &Registry,
@@ -475,22 +457,13 @@ impl ShardedExecutor {
         Some(obs)
     }
 
-    /// Per-shard page-store statistics; empty for heap storage.
+    /// Per-shard page-store statistics; empty for a memory-only executor.
     pub fn store_stats(&self) -> Vec<sg_store::StoreStats> {
         self.inner
             .shards
             .iter()
             .filter_map(|s| s.store().map(|st| st.stats()))
             .collect()
-    }
-
-    /// The storage mode the shards run on.
-    pub fn storage_mode(&self) -> StorageMode {
-        if self.inner.shards.iter().any(|s| s.store().is_some()) {
-            StorageMode::Mmap
-        } else {
-            StorageMode::Heap
-        }
     }
 
     fn ingest_obs(&self) -> Option<&IngestObs> {
@@ -768,7 +741,7 @@ impl ShardedExecutor {
             .collect()
     }
 
-    /// Checkpoints every durable shard — snapshots its catalog and
+    /// Checkpoints every durable shard — commits its page store and
     /// truncates its WAL — bounding both log size and recovery time.
     /// A no-op for memory-only executors.
     pub fn checkpoint(&self) -> SgResult<()> {
@@ -785,8 +758,8 @@ impl ShardedExecutor {
     }
 
     /// Spawns a background checkpointer that folds the group-committed
-    /// WAL into each shard's checkpoint every `every` — for mmap shards,
-    /// one copy-on-write meta-page flip per shard — bounding both log
+    /// WAL into each shard's page store every `every` — one
+    /// copy-on-write meta-page flip per shard — bounding both log
     /// size and restart time without blocking writers for long (each
     /// shard is checkpointed under its read lock, one at a time).
     /// Stops when the returned handle is dropped.
@@ -836,7 +809,7 @@ impl ShardedExecutor {
             let tx = tx.clone();
             self.pool.submit(move || {
                 let (r, stats) = match inner.shards[idx].read_view() {
-                    // Mmap shard: run on the published snapshot view —
+                    // Durable shard: run on the published snapshot view —
                     // no shard lock, so writers never block this query
                     // (and an in-flight checkpoint can't move its pages).
                     Some(view) => run(&view),
@@ -1018,44 +991,6 @@ impl ShardedExecutor {
             &out.1.total.resources,
         );
         out
-    }
-
-    /// [`ShardedExecutor::knn`] with an EXPLAIN trace whose children are
-    /// the per-shard traces, one per shard in shard order.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `query(&QueryRequest::Knn { .. }, &QueryOptions::traced())`"
-    )]
-    pub fn knn_explain(
-        &self,
-        q: &Signature,
-        k: usize,
-        metric: &Metric,
-    ) -> (Vec<Neighbor>, ExecStats, QueryTrace) {
-        let resp = self
-            .query(
-                &QueryRequest::Knn {
-                    q: q.clone(),
-                    k,
-                    metric: *metric,
-                },
-                &QueryOptions::traced(),
-            )
-            .expect("in-width, un-cancelled k-NN cannot fail");
-        let hits = match resp.output {
-            QueryOutput::Neighbors(v) => v,
-            QueryOutput::Tids(_) => unreachable!("k-NN answers are neighbors"),
-        };
-        let stats = ExecStats {
-            total: resp.stats,
-            per_shard: resp.per_shard,
-            merge_ns: resp.merge_ns,
-        };
-        (
-            hits,
-            stats,
-            resp.trace.expect("traced query carries a trace"),
-        )
     }
 
     /// Runs a batch of heterogeneous queries through the pool, pipelined:
@@ -1680,7 +1615,7 @@ mod tests {
     fn mmap_executor_recovers_from_store_plus_wal_tail() {
         let nbits = 64;
         let dir = tmpdir("mmap-recover");
-        let durability = DurabilityConfig::os_only(&dir).storage(StorageMode::Mmap);
+        let durability = DurabilityConfig::os_only(&dir);
         let config = ExecConfig {
             shards: 3,
             ..ExecConfig::default()
@@ -1688,7 +1623,7 @@ mod tests {
         let mut expect: Vec<(Tid, Signature)> = Vec::new();
         {
             let exec = ShardedExecutor::open_durable(nbits, &config, &durability).unwrap();
-            assert_eq!(exec.storage_mode(), StorageMode::Mmap);
+            assert_eq!(exec.store_stats().len(), 3, "every shard has a page store");
             assert_eq!(exec.recovery().unwrap().replayed, 0);
             for (tid, s) in sample(30, nbits) {
                 let ack = exec.insert(tid, &s).unwrap();
@@ -1780,7 +1715,7 @@ mod tests {
     fn mmap_live_writes_are_visible_through_snapshot_views() {
         let nbits = 64;
         let dir = tmpdir("mmap-live");
-        let durability = DurabilityConfig::os_only(&dir).storage(StorageMode::Mmap);
+        let durability = DurabilityConfig::os_only(&dir);
         let config = ExecConfig {
             shards: 2,
             ..ExecConfig::default()
@@ -1824,7 +1759,7 @@ mod tests {
     fn background_checkpointer_truncates_the_wal() {
         let nbits = 64;
         let dir = tmpdir("mmap-ckpt");
-        let durability = DurabilityConfig::os_only(&dir).storage(StorageMode::Mmap);
+        let durability = DurabilityConfig::os_only(&dir);
         let config = ExecConfig {
             shards: 2,
             ..ExecConfig::default()
@@ -1904,6 +1839,39 @@ mod tests {
         assert_eq!(exec.shards(), 5);
         assert_eq!(exec.partitioner(), Partitioner::SignatureClustered);
         assert_eq!(exec.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory left by the retired heap storage mode keeps its rows in
+    /// `shard-NNN.ckpt` snapshots whose WAL records were truncated. Opening
+    /// it over fresh page files would drop every checkpointed row, so the
+    /// open must fail naming the file, before it writes anything.
+    #[test]
+    fn durable_open_refuses_a_heap_checkpoint_directory() {
+        let dir = tmpdir("heap-ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        crate::shard::write_meta(&dir, 64, 4, Partitioner::RoundRobin).unwrap();
+        let meta = std::fs::read(dir.join("meta.bin")).unwrap();
+        std::fs::write(dir.join("shard-001.ckpt"), b"SGSNAP01").unwrap();
+        let err = match ShardedExecutor::open_durable(
+            64,
+            &ExecConfig::default(),
+            &DurabilityConfig::os_only(&dir),
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("a heap checkpoint directory must be refused"),
+        };
+        assert!(matches!(err, SgError::BadMeta(_)), "{err}");
+        assert!(err.to_string().contains("shard-001.ckpt"), "{err}");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !names.iter().any(|n| n.ends_with(".pages")),
+            "no page file may be created: {names:?}"
+        );
+        assert_eq!(std::fs::read(dir.join("meta.bin")).unwrap(), meta);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,14 +29,12 @@
 //!   shards while a writer mutates;
 //!   [`ShardedExecutor::write_batch`] group-commits a mixed batch.
 //! * **Durability** — [`ShardedExecutor::open_durable`] puts a CRC-framed
-//!   write-ahead log and checkpoint snapshot under every shard
-//!   ([`DurabilityConfig`]): writes are logged and fsynced *before* they
-//!   are applied and acknowledged, and reopening replays snapshot + WAL
-//!   back to the last acknowledged write
-//!   ([`ShardedExecutor::recovery`]). With [`StorageMode::Mmap`] each
-//!   shard instead lives in an mmap'd copy-on-write page store
-//!   (`sg_store`): queries run on pinned snapshot views, checkpoints are
-//!   a single meta-page flip, and reopen replays only the WAL tail.
+//!   write-ahead log over an mmap'd copy-on-write page store (`sg_store`)
+//!   under every shard ([`DurabilityConfig`]): writes are logged and
+//!   fsynced *before* they are applied and acknowledged, checkpoints are
+//!   a single meta-page flip, and reopening maps the committed pages and
+//!   replays only the WAL tail back to the last acknowledged write
+//!   ([`ShardedExecutor::recovery`]).
 //!
 //! ## Quick example
 //!
@@ -84,15 +82,13 @@ mod partition;
 mod pool;
 mod shard;
 
-#[allow(deprecated)]
-pub use executor::{BatchOutput, BatchQuery};
 pub use executor::{Checkpointer, ExecConfig, ShardedExecutor};
 pub use merge::{merge_knn, merge_range, merge_tids, ExecStats};
 pub use obs::ExecObs;
 pub use partition::Partitioner;
 pub use pool::ThreadPool;
 pub use sg_pager::FsyncPolicy;
-pub use shard::{DurabilityConfig, RecoveryReport, StorageMode, WriteAck, WriteOp};
+pub use shard::{DurabilityConfig, RecoveryReport, WriteAck, WriteOp};
 
 // The unified query surface (and its cancellation flag, which used to be
 // defined here) comes from `sg_tree`; re-exported so executor callers need

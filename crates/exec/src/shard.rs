@@ -1,5 +1,5 @@
 //! One shard of the executor: a reader-writer protected SG-tree plus an
-//! optional durability sidecar (write-ahead log + checkpoint snapshot).
+//! optional durability sidecar (write-ahead log + mmap'd page store).
 //!
 //! ## Concurrency
 //!
@@ -18,34 +18,24 @@
 //!
 //! ## Durability
 //!
-//! A durable shard always owns `shard-NNN.wal` (CRC-framed redo log, see
-//! [`sg_pager::Wal`]); what sits *under* the log depends on
-//! [`StorageMode`]:
-//!
-//! * **`Heap`** — `shard-NNN.ckpt` holds an atomic snapshot of the whole
-//!   catalog at some LSN. [`Shard::checkpoint`] writes the snapshot with
-//!   the WAL's *next LSN* as its watermark, then truncates the log;
-//!   [`Shard::open_durable`] loads the snapshot (if any), replays every
-//!   WAL record at or past the watermark, and discards a torn tail. A
-//!   crash between snapshot rename and log truncation merely replays
-//!   records the snapshot already covers — replay skips anything below
-//!   the watermark, so recovery is idempotent.
-//! * **`Mmap`** — `shard-NNN.pages` is an [`sg_store::CowStore`]: the
-//!   tree's node pages live in a memory-mapped copy-on-write page file,
-//!   so a checkpoint is a single dual-meta-page flip ([`CowStore::commit`]
-//!   with the WAL's next LSN as the watermark) instead of a full catalog
-//!   rewrite, and reopen replays only the WAL tail past that watermark —
-//!   restart cost is O(tail), not O(dataset). After every applied batch
-//!   the shard *publishes* the store and re-opens a read-only tree view
-//!   over a pinned [`sg_store::Snapshot`]; queries run on that view
-//!   without ever touching this shard's write lock.
+//! A durable shard owns `shard-NNN.wal` (CRC-framed redo log, see
+//! [`sg_pager::Wal`]) over `shard-NNN.pages`, an [`sg_store::CowStore`]:
+//! the tree's node pages live in a memory-mapped copy-on-write page file.
+//! [`Shard::checkpoint`] is a single dual-meta-page flip
+//! ([`CowStore::commit`] with the WAL's next LSN as the watermark)
+//! followed by a log truncation, and reopen replays only the WAL tail
+//! past that watermark — restart cost is O(tail), not O(dataset). A
+//! crash between the flip and the truncation merely leaves records the
+//! commit already covers; replay skips anything below the watermark, so
+//! recovery is idempotent. After every applied batch the shard
+//! *publishes* the store and re-opens a read-only tree view over a
+//! pinned [`sg_store::Snapshot`]; [`Shard::read_view`] hands that view to
+//! queries that should not take this shard's state lock.
 
 use crate::partition::Partitioner;
 use parking_lot::{Mutex, RwLock};
 use sg_obs::IngestObs;
-use sg_pager::{
-    read_snapshot, write_snapshot, FsyncPolicy, MemStore, PageStore, SgError, SgResult, Wal, WalOp,
-};
+use sg_pager::{FsyncPolicy, PageStore, SgError, SgResult, Wal, WalOp};
 use sg_sig::{codec, Signature};
 use sg_store::CowStore;
 use sg_tree::{SgTree, Tid, TreeConfig};
@@ -54,57 +44,22 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What a durable shard keeps under its WAL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Heap trees rebuilt on open from a catalog snapshot + full WAL
-    /// replay (the original durability scheme).
-    #[default]
-    Heap,
-    /// Memory-mapped copy-on-write page store ([`sg_store::CowStore`]):
-    /// snapshot-isolated reads and O(WAL-tail) restart.
-    Mmap,
-}
-
-impl StorageMode {
-    /// Parses the `--storage=` flag value.
-    pub fn parse(s: &str) -> Option<StorageMode> {
-        match s {
-            "heap" => Some(StorageMode::Heap),
-            "mmap" => Some(StorageMode::Mmap),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`heap` / `mmap`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StorageMode::Heap => "heap",
-            StorageMode::Mmap => "mmap",
-        }
-    }
-}
-
 /// Where (and how hard) a durable executor persists its writes.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the meta file plus one WAL + snapshot per shard.
+    /// Directory holding the meta file plus one WAL + page file per shard.
     pub dir: PathBuf,
     /// `Always` fsyncs every group commit (survives power loss); `OsOnly`
     /// leaves flushing to the OS (survives process kill, not power loss).
     pub fsync: FsyncPolicy,
-    /// What the WAL checkpoints into (heap snapshots or the mmap'd
-    /// copy-on-write page store).
-    pub storage: StorageMode,
 }
 
 impl DurabilityConfig {
     /// Durability rooted at `dir` with per-commit fsync.
-    pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
+    pub fn mmap(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
-            storage: StorageMode::Heap,
         }
     }
 
@@ -113,20 +68,7 @@ impl DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::OsOnly,
-            storage: StorageMode::Heap,
         }
-    }
-
-    /// Durability rooted at `dir` over the mmap'd page store, with
-    /// per-commit fsync.
-    pub fn mmap(dir: impl Into<PathBuf>) -> DurabilityConfig {
-        DurabilityConfig::new(dir).storage(StorageMode::Mmap)
-    }
-
-    /// Selects the storage mode (builder style).
-    pub fn storage(mut self, storage: StorageMode) -> DurabilityConfig {
-        self.storage = storage;
-        self
     }
 }
 
@@ -192,13 +134,12 @@ pub struct WriteAck {
 /// [`crate::ShardedExecutor::recovery`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Entries restored on open: snapshot entries + replayed WAL records.
+    /// Entries restored on open: committed entries + replayed WAL records.
     pub replayed: u64,
-    /// Entries restored from checkpoints — heap catalog snapshots or (for
-    /// mmap shards) the committed page store — *without* replaying a log
-    /// record.
+    /// Entries restored from the committed page stores *without*
+    /// replaying a log record.
     pub snapshot_entries: u64,
-    /// Of which, records replayed from WALs (past the snapshot watermark).
+    /// Of which, records replayed from WALs (past the commit watermark).
     pub wal_records: u64,
     /// Torn/corrupt WAL tail bytes discarded across all shards.
     pub truncated_bytes: u64,
@@ -217,11 +158,11 @@ pub(crate) struct ShardRecovery {
 /// The mutable heart of a shard: the tree plus a tid → signature catalog.
 ///
 /// The catalog makes deletes and upserts self-contained (the tree's
-/// `delete` needs the exact signature) and is what checkpoints serialize.
+/// `delete` needs the exact signature).
 pub(crate) struct ShardState {
     pub(crate) tree: SgTree,
     pub(crate) catalog: HashMap<Tid, Signature>,
-    /// Whether `catalog` mirrors the tree. Mmap shards skip catalog
+    /// Whether `catalog` mirrors the tree. Durable shards skip catalog
     /// construction on open (restart stays O(WAL tail)) and hydrate it
     /// from [`SgTree::dump`] on the first write — queries never need it.
     pub(crate) catalog_ready: bool,
@@ -229,7 +170,7 @@ pub(crate) struct ShardState {
 
 impl ShardState {
     /// Hydrates the catalog from the tree if it has not been built yet
-    /// (the mmap write-warmup; a no-op for heap shards).
+    /// (the durable write-warmup; a no-op for memory shards).
     pub(crate) fn ensure_catalog(&mut self) {
         if self.catalog_ready {
             return;
@@ -239,17 +180,14 @@ impl ShardState {
     }
 }
 
+/// The durable sidecar: the WAL, the copy-on-write page store the
+/// shard's tree lives in, and the published read-only view over it.
 struct DurableSide {
-    wal: Wal,
-    snapshot_path: PathBuf,
-}
-
-/// The mmap-storage sidecar: the copy-on-write page store the shard's
-/// tree lives in, plus the published read-only view queries run against.
-struct MmapSide {
+    /// Taken after the state lock, never before it.
+    wal: Mutex<Wal>,
     store: Arc<CowStore>,
     /// Read-only tree over a pinned [`sg_store::Snapshot`], swapped after
-    /// every applied batch. Queries clone the `Arc` and drop the lock —
+    /// every applied batch. Readers clone the `Arc` and drop the lock —
     /// they never contend with the shard's state lock.
     view: Mutex<Arc<SgTree>>,
     /// Tree-config hints for re-opening views.
@@ -257,11 +195,11 @@ struct MmapSide {
     fsync: FsyncPolicy,
 }
 
-/// One executor shard: reader-writer state plus an optional WAL.
+/// One executor shard: reader-writer state plus an optional durable
+/// sidecar.
 pub(crate) struct Shard {
     pub(crate) state: RwLock<ShardState>,
-    durable: Option<Mutex<DurableSide>>,
-    mmap: Option<MmapSide>,
+    durable: Option<DurableSide>,
 }
 
 /// Applies one staged mutation to `st`, returning the net change in entry
@@ -311,10 +249,10 @@ fn wal_op(op: &WriteOp) -> WalOp {
 /// WAL payload of an op, **self-contained** so replay never needs a
 /// catalog: inserts log the new signature, deletes log the signature
 /// being removed, and upserts log the new signature followed by the
-/// replaced one (when a previous value existed). Heap replay decodes
-/// only the leading signature — [`codec::decode`] reports how many bytes
-/// it consumed and ignores the rest — while mmap replay uses the trailing
-/// old signature to undo the replaced entry directly in the tree.
+/// replaced one (when a previous value existed). Replay decodes the
+/// leading signature — [`codec::decode`] reports how many bytes it
+/// consumed — and uses the trailing old signature to undo the replaced
+/// entry directly in the tree.
 fn wal_payload(op: &WriteOp, old: Option<&Signature>) -> Vec<u8> {
     let mut out = Vec::new();
     match op {
@@ -337,13 +275,13 @@ fn wal_payload(op: &WriteOp, old: Option<&Signature>) -> Vec<u8> {
 }
 
 /// Opens a read-only tree over a freshly pinned snapshot of `store`
-/// (the mmap query view; the snapshot stays pinned until the view drops).
+/// (the query view; the snapshot stays pinned until the view drops).
 fn open_view(store: &Arc<CowStore>, hints: &TreeConfig) -> SgResult<SgTree> {
     SgTree::open(Arc::new(store.snapshot()), 0, hints.clone())
 }
 
 impl Shard {
-    /// A memory-only shard (no WAL, no snapshot).
+    /// A memory-only shard (no WAL, no page file).
     pub(crate) fn memory(tree: SgTree, catalog: HashMap<Tid, Signature>) -> Shard {
         Shard {
             state: RwLock::new(ShardState {
@@ -352,123 +290,17 @@ impl Shard {
                 catalog_ready: true,
             }),
             durable: None,
-            mmap: None,
         }
     }
 
-    /// Opens (or creates) durable shard `idx` under `dir`: loads the
-    /// checkpoint (heap snapshot or committed page store), replays the
-    /// WAL past its watermark, truncates any torn tail, and floors the
-    /// LSN counter so reused LSNs can never collide with checkpointed
-    /// ones.
+    /// Opens (or creates) durable shard `idx` under `dir` over its
+    /// mmap'd copy-on-write page store. The committed store already holds
+    /// every write covered by its meta page's WAL watermark, so only the
+    /// log tail past it is replayed — restart work is proportional to the
+    /// un-checkpointed tail, not to the dataset. A torn log tail is
+    /// truncated, and the LSN counter is floored at the watermark so
+    /// reused LSNs can never collide with committed ones.
     pub(crate) fn open_durable(
-        dir: &Path,
-        idx: usize,
-        fsync: FsyncPolicy,
-        storage: StorageMode,
-        nbits: u32,
-        tree_config: &TreeConfig,
-        page_size: usize,
-    ) -> SgResult<(Shard, ShardRecovery)> {
-        match storage {
-            StorageMode::Heap => {
-                Shard::open_durable_heap(dir, idx, fsync, nbits, tree_config, page_size)
-            }
-            StorageMode::Mmap => {
-                Shard::open_durable_mmap(dir, idx, fsync, nbits, tree_config, page_size)
-            }
-        }
-    }
-
-    fn open_durable_heap(
-        dir: &Path,
-        idx: usize,
-        fsync: FsyncPolicy,
-        nbits: u32,
-        tree_config: &TreeConfig,
-        page_size: usize,
-    ) -> SgResult<(Shard, ShardRecovery)> {
-        let snapshot_path = dir.join(format!("shard-{idx:03}.ckpt"));
-        let wal_path = dir.join(format!("shard-{idx:03}.wal"));
-        let t0 = Instant::now();
-        let snap = read_snapshot(&snapshot_path)?;
-        // The snapshot stores the WAL's next-LSN at checkpoint time:
-        // records below it are already folded into the snapshot.
-        let watermark = snap.as_ref().map(|(w, _)| *w).unwrap_or(0);
-        let (wal, replay) = Wal::open(&wal_path, fsync, watermark)?;
-        let mut st = ShardState {
-            tree: SgTree::create(Arc::new(MemStore::new(page_size)), tree_config.clone())?,
-            catalog: HashMap::new(),
-            catalog_ready: true,
-        };
-        let mut snapshot_entries = 0u64;
-        if let Some((_, entries)) = snap {
-            for (tid, payload) in entries {
-                let (sig, _) = codec::decode(nbits, &payload).map_err(|e| {
-                    SgError::corrupt(format!(
-                        "snapshot {snapshot_path:?} entry for tid {tid}: {e}"
-                    ))
-                })?;
-                st.tree.insert(tid, &sig);
-                st.catalog.insert(tid, sig);
-                snapshot_entries += 1;
-            }
-        }
-        let mut wal_records = 0u64;
-        for rec in &replay.records {
-            if rec.lsn < watermark {
-                continue; // crash between snapshot rename and truncation
-            }
-            let op = match rec.op {
-                WalOp::Insert => {
-                    let (sig, _) = codec::decode(nbits, &rec.payload).map_err(|e| {
-                        SgError::corrupt(format!("wal {wal_path:?} record lsn {}: {e}", rec.lsn))
-                    })?;
-                    WriteOp::Insert { tid: rec.tid, sig }
-                }
-                WalOp::Delete => WriteOp::Delete { tid: rec.tid },
-                WalOp::Upsert => {
-                    let (sig, _) = codec::decode(nbits, &rec.payload).map_err(|e| {
-                        SgError::corrupt(format!("wal {wal_path:?} record lsn {}: {e}", rec.lsn))
-                    })?;
-                    WriteOp::Upsert { tid: rec.tid, sig }
-                }
-            };
-            // A replayed insert may collide with itself if the same record
-            // is somehow applied twice; route inserts through upsert
-            // semantics so replay is idempotent.
-            match op {
-                WriteOp::Insert { tid, sig } => {
-                    apply_op(&mut st, &WriteOp::Upsert { tid, sig });
-                }
-                other => {
-                    apply_op(&mut st, &other);
-                }
-            }
-            wal_records += 1;
-        }
-        let recovery = ShardRecovery {
-            snapshot_entries,
-            wal_records,
-            truncated_bytes: replay.truncated_bytes,
-            replay_ns: t0.elapsed().as_nanos() as u64,
-        };
-        Ok((
-            Shard {
-                state: RwLock::new(st),
-                durable: Some(Mutex::new(DurableSide { wal, snapshot_path })),
-                mmap: None,
-            },
-            recovery,
-        ))
-    }
-
-    /// Opens shard `idx` over the mmap'd copy-on-write page store. The
-    /// committed store already holds every write covered by its meta
-    /// page's WAL watermark, so only the log tail past it is replayed —
-    /// restart work is proportional to the un-checkpointed tail, not to
-    /// the dataset.
-    fn open_durable_mmap(
         dir: &Path,
         idx: usize,
         fsync: FsyncPolicy,
@@ -535,7 +367,6 @@ impl Shard {
             truncated_bytes: replay.truncated_bytes,
             replay_ns: t0.elapsed().as_nanos() as u64,
         };
-        let snapshot_path = dir.join(format!("shard-{idx:03}.ckpt"));
         Ok((
             Shard {
                 state: RwLock::new(ShardState {
@@ -543,8 +374,8 @@ impl Shard {
                     catalog: HashMap::new(),
                     catalog_ready: false,
                 }),
-                durable: Some(Mutex::new(DurableSide { wal, snapshot_path })),
-                mmap: Some(MmapSide {
+                durable: Some(DurableSide {
+                    wal: Mutex::new(wal),
                     store,
                     view: Mutex::new(view),
                     hints: tree_config.clone(),
@@ -568,22 +399,22 @@ impl Shard {
                 return st.catalog.contains_key(&tid);
             }
         }
-        // Mmap shard before its first write: hydrate the catalog once.
+        // Durable shard before its first write: hydrate the catalog once.
         let mut st = self.state.write();
         st.ensure_catalog();
         st.catalog.contains_key(&tid)
     }
 
-    /// The published read-only tree view (mmap shards only): a pinned,
-    /// lock-free snapshot of the last applied batch. `None` means queries
-    /// must take the state read lock instead.
+    /// The published read-only tree view (durable shards only): a
+    /// pinned, lock-free snapshot of the last applied batch. `None` means
+    /// queries must take the state read lock instead.
     pub(crate) fn read_view(&self) -> Option<Arc<SgTree>> {
-        self.mmap.as_ref().map(|m| Arc::clone(&m.view.lock()))
+        self.durable.as_ref().map(|d| Arc::clone(&d.view.lock()))
     }
 
-    /// The mmap page store, if this shard uses one.
+    /// The page store, if this shard is durable.
     pub(crate) fn store(&self) -> Option<&Arc<CowStore>> {
-        self.mmap.as_ref().map(|m| &m.store)
+        self.durable.as_ref().map(|d| &d.store)
     }
 
     /// Applies a group of ops under one write lock with one group commit:
@@ -605,7 +436,7 @@ impl Shard {
     ) -> (Vec<SgResult<WriteAck>>, i64, u64) {
         let mut st = self.state.write();
         // Writes need the catalog for validation and old-signature
-        // lookups; mmap shards build it lazily on the first write.
+        // lookups; durable shards build it lazily on the first write.
         st.ensure_catalog();
         // Stage: validate each op against the catalog *as mutated by
         // earlier ops in this batch*, collecting the WAL items to log.
@@ -616,8 +447,7 @@ impl Shard {
         // yet: tid → its signature after the staged prefix (`None` =
         // staged as deleted). WAL payloads must log the *effective* old
         // signature — an op earlier in this batch may have produced it —
-        // or self-contained (mmap) replay would miss intra-batch
-        // replacements.
+        // or self-contained replay would miss intra-batch replacements.
         let mut pending: HashMap<Tid, Option<Signature>> = HashMap::new();
         let effective = |st: &ShardState, pending: &HashMap<Tid, Option<Signature>>, tid: Tid| {
             pending
@@ -676,16 +506,16 @@ impl Shard {
         let lsns: Vec<u64> = if wal_items.is_empty() {
             Vec::new()
         } else if let Some(d) = &self.durable {
-            let mut side = d.lock();
-            let before = side.wal.bytes();
-            match side.wal.append_batch(&wal_items) {
+            let mut wal = d.wal.lock();
+            let before = wal.bytes();
+            match wal.append_batch(&wal_items) {
                 Ok(lsns) => {
-                    wal_bytes = side.wal.bytes().saturating_sub(before);
+                    wal_bytes = wal.bytes().saturating_sub(before);
                     if let Some(o) = obs {
                         o.wal_bytes.add(wal_bytes);
                         o.wal_syncs.inc();
                     }
-                    next_lsn = Some(side.wal.next_lsn());
+                    next_lsn = Some(wal.next_lsn());
                     lsns
                 }
                 Err(e) => {
@@ -715,76 +545,48 @@ impl Shard {
                 }
             }
         }
-        // Mmap epilogue: flush the tree's meta into the store's write
+        // Durable epilogue: flush the tree's meta into the store's write
         // window, publish the new mapping, and swap in a fresh view so
-        // queries observe this batch without taking the state lock.
-        if let Some(m) = &self.mmap {
+        // view readers observe this batch without taking the state lock.
+        if let Some(d) = &self.durable {
             if staged.iter().any(Option::is_some) {
                 st.tree.flush();
-                m.store.publish();
-                match open_view(&m.store, &m.hints) {
-                    Ok(view) => *m.view.lock() = Arc::new(view),
+                d.store.publish();
+                match open_view(&d.store, &d.hints) {
+                    Ok(view) => *d.view.lock() = Arc::new(view),
                     // The batch is durable and applied; keep serving the
                     // previous view rather than failing acknowledged ops.
                     Err(e) => debug_assert!(false, "reopening the shard view: {e}"),
                 }
-                if let (Some(so), Some(next)) = (m.store.obs_handle(), next_lsn) {
+                if let (Some(so), Some(next)) = (d.store.obs_handle(), next_lsn) {
                     so.checkpoint_lag
-                        .set(next.saturating_sub(m.store.checkpoint_lsn()) as i64);
+                        .set(next.saturating_sub(d.store.checkpoint_lsn()) as i64);
                 }
             }
         }
         (results, delta, wal_bytes)
     }
 
-    /// Snapshots the whole catalog at the WAL's current position, then
-    /// truncates the log. Holding the read lock pins the state the
-    /// snapshot describes; the WAL mutex keeps concurrent appends out
-    /// (writers hold the write lock anyway, so none can be mid-append).
+    /// Commits the page store at the WAL's current position (one
+    /// dual-meta-page flip), then truncates the log. The read lock keeps
+    /// writers out — so the tree's meta is already flushed, as every
+    /// batch flushes before releasing the write lock — and the WAL mutex
+    /// keeps the watermark consistent with the truncation that follows.
     pub(crate) fn checkpoint(&self, obs: Option<&IngestObs>) -> SgResult<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        if let Some(m) = &self.mmap {
-            // Mmap checkpoint: one dual-meta-page flip. The read lock
-            // keeps writers out (so the tree's meta is already flushed —
-            // every batch flushes before releasing the write lock) and
-            // the WAL mutex keeps the watermark consistent with the
-            // truncation that follows it.
-            let t0 = Instant::now();
-            let _st = self.state.read();
-            let mut side = d.lock();
-            let watermark = side.wal.next_lsn();
-            m.store
-                .commit(watermark, matches!(m.fsync, FsyncPolicy::Always))
-                .map_err(|e| SgError::io("committing the shard page store", e))?;
-            side.wal.truncate()?;
-            if let Some(so) = m.store.obs_handle() {
-                so.checkpoint_lag.set(0);
-            }
-            if let Some(o) = obs {
-                o.checkpoints.inc();
-                o.checkpoint_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-            return Ok(());
-        }
         let t0 = Instant::now();
-        let st = self.state.read();
-        let mut side = d.lock();
-        let watermark = side.wal.next_lsn();
-        let mut entries: Vec<(u64, Vec<u8>)> = st
-            .catalog
-            .iter()
-            .map(|(tid, sig)| {
-                let mut payload = Vec::new();
-                codec::encode(sig, &mut payload);
-                (*tid, payload)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|(tid, _)| *tid);
-        let snapshot_path = side.snapshot_path.clone();
-        write_snapshot(&snapshot_path, watermark, entries)?;
-        side.wal.truncate()?;
+        let _st = self.state.read();
+        let mut wal = d.wal.lock();
+        let watermark = wal.next_lsn();
+        d.store
+            .commit(watermark, matches!(d.fsync, FsyncPolicy::Always))
+            .map_err(|e| SgError::io("committing the shard page store", e))?;
+        wal.truncate()?;
+        if let Some(so) = d.store.obs_handle() {
+            so.checkpoint_lag.set(0);
+        }
         if let Some(o) = obs {
             o.checkpoints.inc();
             o.checkpoint_ns.record(t0.elapsed().as_nanos() as u64);
@@ -813,6 +615,32 @@ pub(crate) fn write_meta(
     std::fs::rename(&tmp, &path)
         .map_err(|e| SgError::io("publishing the executor meta file", e))?;
     Ok(())
+}
+
+/// Refuses a data directory written by the retired heap storage mode:
+/// its `shard-NNN.ckpt` catalog snapshots hold rows whose WAL records
+/// were already truncated, so opening the directory over fresh page
+/// files would silently drop every checkpointed row. Runs before the
+/// executor writes anything into `dir`.
+pub(crate) fn refuse_heap_checkpoints(dir: &Path) -> SgResult<()> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| SgError::io("listing the durable directory", e))?;
+    let first_ckpt = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".ckpt"))
+        })
+        .min();
+    match first_ckpt {
+        None => Ok(()),
+        Some(path) => Err(SgError::BadMeta(format!(
+            "{path:?} is a heap-storage checkpoint from an older version; shards now \
+             live only in mmap page files, which cannot recover its rows — rebuild the \
+             index into a fresh directory"
+        ))),
+    }
 }
 
 /// Reads the meta file back; `Ok(None)` when the directory is fresh.

@@ -360,26 +360,36 @@ proptest! {
 /// guaranteed under concurrent overwrite — a slot can be lapped with a
 /// newer committed record mid-scan — which is why [`flight_spans`]
 /// sorts by start time; what the seqlock guarantees is no tearing.)
+///
+/// The writer publishes its push count, and the dumper keeps draining
+/// until the writer has lapped the ring several times, so the race is
+/// exercised however late the writer thread gets scheduled.
 #[test]
 fn concurrent_drain_never_observes_a_torn_record() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let ring = Arc::new(ThreadRing::new(8));
+    const CAP: usize = 8;
+    const MIN_DRAINS: u32 = 2_000;
+    let ring = Arc::new(ThreadRing::new(CAP));
     let stop = Arc::new(AtomicBool::new(false));
+    let pushed = Arc::new(AtomicU64::new(0));
     let w = {
         let ring = Arc::clone(&ring);
         let stop = Arc::clone(&stop);
+        let pushed = Arc::clone(&pushed);
         std::thread::spawn(move || {
             let mut k = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 ring.push(&synthetic_record(k));
                 k += 1;
+                pushed.store(k, Ordering::Release);
             }
             k
         })
     };
-    for _ in 0..2_000 {
+    let mut drains = 0u32;
+    while drains < MIN_DRAINS || pushed.load(Ordering::Acquire) < 4 * CAP as u64 {
         let spans = ring.drain();
         let mut seen = Vec::with_capacity(spans.len());
         for s in &spans {
@@ -391,6 +401,7 @@ fn concurrent_drain_never_observes_a_torn_record() {
             );
             seen.push(s.trace_id);
         }
+        drains += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let written = w.join().unwrap();

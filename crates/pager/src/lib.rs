@@ -6,9 +6,9 @@
 //!
 //! * [`PageStore`] — the backing store abstraction: allocate / free / read /
 //!   write fixed-size pages, addressed by [`PageId`].
-//! * [`MemStore`] — an in-memory store for tests and CPU-bound experiments.
-//! * [`FileStore`] — a real file-backed store (one page = one aligned slot
-//!   in the file).
+//! * [`MemStore`] — an in-memory store for tests, CPU-bound experiments
+//!   and memory-only executors. The durable, file-backed store is
+//!   `sg_store::CowStore`, an mmap'd copy-on-write page file.
 //! * [`BufferPool`] — an LRU page cache over any store. Cache misses are
 //!   counted as random I/Os; the experiment harness resets the counters
 //!   around each query and can drop the cache to emulate the paper's
@@ -26,10 +26,8 @@ mod wal;
 pub use buffer::BufferPool;
 pub use error::{SgError, SgResult};
 pub use stats::{IoSnapshot, IoStats};
-pub use store::{FileStore, MemStore, PageStore};
-pub use wal::{
-    crc32, read_snapshot, write_snapshot, FsyncPolicy, Replay, Snapshot, Wal, WalOp, WalRecord,
-};
+pub use store::{MemStore, PageStore};
+pub use wal::{crc32, FsyncPolicy, Replay, Wal, WalOp, WalRecord};
 
 /// Identifier of a page within a store. Dense, starting at 0; freed ids are
 /// recycled by the stores' free lists.

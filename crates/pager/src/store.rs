@@ -1,14 +1,8 @@
 //! Page stores: the raw fixed-size-page backends.
 
-use crate::error::{SgError, SgResult};
+use crate::error::SgResult;
 use crate::PageId;
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
-use std::io;
-use std::path::Path;
-
-#[cfg(unix)]
-use std::os::unix::fs::FileExt;
 
 /// A store of fixed-size pages.
 ///
@@ -161,134 +155,6 @@ impl PageStore for MemStore {
     }
 }
 
-struct FileStoreInner {
-    next_id: PageId,
-    free_list: Vec<PageId>,
-}
-
-/// A file-backed [`PageStore`]: page `i` occupies bytes
-/// `[i * page_size, (i+1) * page_size)` of the file.
-///
-/// The free list is kept in memory only — adequate for an experiment
-/// substrate; a production system would persist it in a header page.
-pub struct FileStore {
-    file: File,
-    page_size: usize,
-    inner: Mutex<FileStoreInner>,
-}
-
-impl FileStore {
-    /// Creates (truncating) a page file at `path`.
-    pub fn create(path: impl AsRef<Path>, page_size: usize) -> io::Result<Self> {
-        assert!(page_size > 0);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(FileStore {
-            file,
-            page_size,
-            inner: Mutex::new(FileStoreInner {
-                next_id: 0,
-                free_list: Vec::new(),
-            }),
-        })
-    }
-
-    /// Opens an existing page file, treating every whole page in it as
-    /// allocated.
-    pub fn open(path: impl AsRef<Path>, page_size: usize) -> io::Result<Self> {
-        assert!(page_size > 0);
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(FileStore {
-            file,
-            page_size,
-            inner: Mutex::new(FileStoreInner {
-                next_id: len / page_size as u64,
-                free_list: Vec::new(),
-            }),
-        })
-    }
-
-    #[inline]
-    fn offset(&self, id: PageId) -> u64 {
-        id * self.page_size as u64
-    }
-}
-
-impl PageStore for FileStore {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn allocate(&self) -> PageId {
-        self.try_allocate()
-            .unwrap_or_else(|e| panic!("allocate page: {e}"))
-    }
-
-    fn free(&self, id: PageId) {
-        let mut inner = self.inner.lock();
-        debug_assert!(id < inner.next_id, "free of unallocated page {id}");
-        inner.free_list.push(id);
-    }
-
-    fn read(&self, id: PageId, buf: &mut [u8]) {
-        self.try_read(id, buf)
-            .unwrap_or_else(|e| panic!("read page {id}: {e}"));
-    }
-
-    fn write(&self, id: PageId, buf: &[u8]) {
-        self.try_write(id, buf)
-            .unwrap_or_else(|e| panic!("write page {id}: {e}"));
-    }
-
-    fn allocated_pages(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.next_id - inner.free_list.len() as u64
-    }
-
-    fn try_allocate(&self) -> SgResult<PageId> {
-        let mut inner = self.inner.lock();
-        if let Some(id) = inner.free_list.pop() {
-            Ok(id)
-        } else {
-            let id = inner.next_id;
-            // Extend the file with a zeroed page so reads of fresh pages
-            // are well-defined. Only bump next_id once the extension
-            // succeeded, so a failed allocation leaves the store unchanged.
-            let zeroes = vec![0u8; self.page_size];
-            self.file
-                .write_all_at(&zeroes, self.offset(id))
-                .map_err(|e| SgError::io(format!("extend page file to page {id}"), e))?;
-            inner.next_id += 1;
-            Ok(id)
-        }
-    }
-
-    fn try_read(&self, id: PageId, buf: &mut [u8]) -> SgResult<()> {
-        assert_eq!(buf.len(), self.page_size);
-        self.file
-            .read_exact_at(buf, self.offset(id))
-            .map_err(|e| SgError::io(format!("read page {id}"), e))
-    }
-
-    fn try_write(&self, id: PageId, buf: &[u8]) -> SgResult<()> {
-        assert_eq!(buf.len(), self.page_size);
-        self.file
-            .write_all_at(buf, self.offset(id))
-            .map_err(|e| SgError::io(format!("write page {id}"), e))
-    }
-
-    fn sync(&self) -> SgResult<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| SgError::io("sync page file", e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,46 +190,6 @@ mod tests {
     #[test]
     fn mem_store_roundtrip() {
         exercise(&MemStore::new(128));
-    }
-
-    #[test]
-    fn file_store_roundtrip() {
-        let path = std::env::temp_dir().join(format!(
-            "sg-pager-test-{}-{:?}.pages",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let store = FileStore::create(&path, 128).unwrap();
-        exercise(&store);
-        drop(store);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_store_reopen_preserves_pages() {
-        let path = std::env::temp_dir().join(format!(
-            "sg-pager-reopen-{}-{:?}.pages",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        {
-            let store = FileStore::create(&path, 64).unwrap();
-            let id = store.allocate();
-            let mut page = vec![7u8; 64];
-            page[63] = 9;
-            store.write(id, &page);
-        }
-        {
-            let store = FileStore::open(&path, 64).unwrap();
-            assert_eq!(store.allocated_pages(), 1);
-            let mut out = vec![0u8; 64];
-            store.read(0, &mut out);
-            assert_eq!(out[0], 7);
-            assert_eq!(out[63], 9);
-            // New allocations continue past existing pages.
-            assert_eq!(store.allocate(), 1);
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

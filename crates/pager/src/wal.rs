@@ -1,14 +1,14 @@
-//! Write-ahead log and checkpoint snapshots for live ingest.
+//! Write-ahead log for live ingest.
 //!
 //! The write path is **append-before-mutate**: every accepted mutation is
 //! appended to the log (and synced per [`FsyncPolicy`]) *before* it is
-//! applied to the in-memory tree and acknowledged to the caller. A killed
-//! process therefore recovers exactly the acknowledged prefix: reopen the
-//! last checkpoint snapshot, then replay the log.
+//! applied to the tree and acknowledged to the caller. A killed process
+//! therefore recovers exactly the acknowledged prefix: reopen the last
+//! committed page store, then replay the log past its watermark.
 //!
 //! ## Record framing
 //!
-//! Every record — in the log and in snapshots — is CRC-framed:
+//! Every record is CRC-framed:
 //!
 //! ```text
 //! [len: u32 LE] [crc32(body): u32 LE] [body: len bytes]
@@ -22,13 +22,11 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint snapshot is a compacted log: the full entry set as insert
-//! records, prefixed by a header carrying the **LSN watermark** — the
-//! highest LSN the snapshot includes. Snapshots are written to a temp file,
-//! synced, and atomically renamed, so a crash mid-checkpoint leaves the
-//! previous snapshot intact. Replay skips log records at or below the
-//! watermark, which makes the crash window *after* the rename but *before*
-//! the log truncation harmless: those records replay as no-ops.
+//! A checkpoint commits the page store with the log's next LSN as its
+//! **watermark**, then [`Wal::truncate`]s the log; LSNs keep counting
+//! from the watermark. Replay skips records below the watermark, which
+//! makes the crash window *after* the commit but *before* the truncation
+//! harmless: those records replay as no-ops.
 
 use crate::error::{SgError, SgResult};
 use sg_obs::span::Span;
@@ -36,7 +34,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-const SNAP_MAGIC: &[u8; 8] = b"SGSNAP01";
 const HEADER_BYTES: usize = 8; // len + crc
 const BODY_FIXED: usize = 8 + 1 + 8 + 4; // lsn + op + tid + payload_len
 
@@ -272,79 +269,6 @@ impl Wal {
     }
 }
 
-// ----------------------------------------------------------- snapshots
-
-/// Atomically writes a checkpoint snapshot: `watermark` is the highest
-/// LSN the entries reflect; `entries` is the full `(tid, payload)` set.
-/// The snapshot lands at `path` via write-temp → fsync → rename, so a
-/// crash at any point leaves either the old or the new snapshot, never a
-/// mix.
-pub fn write_snapshot(
-    path: impl AsRef<Path>,
-    watermark: u64,
-    entries: impl IntoIterator<Item = (u64, Vec<u8>)>,
-) -> SgResult<()> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&watermark.to_le_bytes());
-    for (tid, payload) in entries {
-        encode_record(&mut buf, 0, WalOp::Insert, tid, &payload);
-    }
-    let mut file = File::create(&tmp)
-        .map_err(|e| SgError::io(format!("create snapshot {}", tmp.display()), e))?;
-    file.write_all(&buf)
-        .map_err(|e| SgError::io("write snapshot", e))?;
-    file.sync_all()
-        .map_err(|e| SgError::io("sync snapshot", e))?;
-    drop(file);
-    std::fs::rename(&tmp, path)
-        .map_err(|e| SgError::io(format!("rename snapshot into {}", path.display()), e))?;
-    // Persist the rename itself (the directory entry).
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// A decoded checkpoint snapshot: the LSN watermark plus the full
-/// `(tid, payload)` entry set.
-pub type Snapshot = (u64, Vec<(u64, Vec<u8>)>);
-
-/// Reads a checkpoint snapshot: `Ok(None)` when no snapshot exists yet,
-/// `Err(Corrupt)` when one exists but fails validation (snapshots are
-/// written atomically, so unlike the log a damaged snapshot is an error,
-/// not a tail to trim).
-pub fn read_snapshot(path: impl AsRef<Path>) -> SgResult<Option<Snapshot>> {
-    let path = path.as_ref();
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f
-            .read_to_end(&mut buf)
-            .map_err(|e| SgError::io("read snapshot", e))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(SgError::io(format!("open snapshot {}", path.display()), e)),
-    };
-    if buf.len() < 16 || &buf[0..8] != SNAP_MAGIC {
-        return Err(SgError::corrupt("snapshot header missing or wrong magic"));
-    }
-    let watermark = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let (records, valid_len) = decode_records(&buf[16..]);
-    if valid_len as usize != buf.len() - 16 {
-        return Err(SgError::corrupt(format!(
-            "snapshot has {} undecodable trailing bytes",
-            buf.len() - 16 - valid_len as usize
-        )));
-    }
-    Ok(Some((
-        watermark,
-        records.into_iter().map(|r| (r.tid, r.payload)).collect(),
-    )))
-}
-
 // ------------------------------------------------------------- framing
 
 fn encode_record(out: &mut Vec<u8>, lsn: u64, op: WalOp, tid: u64, payload: &[u8]) {
@@ -556,35 +480,6 @@ mod tests {
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].lsn, 4);
         assert_eq!(wal.next_lsn(), 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn snapshot_roundtrip_and_atomicity() {
-        let path = tmp("snap.ckpt");
-        std::fs::remove_file(&path).ok();
-        assert!(read_snapshot(&path).unwrap().is_none());
-        write_snapshot(&path, 41, vec![(1, b"aa".to_vec()), (2, b"bb".to_vec())]).unwrap();
-        let (wm, entries) = read_snapshot(&path).unwrap().unwrap();
-        assert_eq!(wm, 41);
-        assert_eq!(entries, vec![(1, b"aa".to_vec()), (2, b"bb".to_vec())]);
-        // Overwrite with a newer snapshot; reader sees only the new one.
-        write_snapshot(&path, 99, vec![(3, b"cc".to_vec())]).unwrap();
-        let (wm, entries) = read_snapshot(&path).unwrap().unwrap();
-        assert_eq!(wm, 99);
-        assert_eq!(entries.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn damaged_snapshot_is_an_error_not_a_prefix() {
-        let path = tmp("snap-bad.ckpt");
-        write_snapshot(&path, 7, vec![(1, b"aa".to_vec())]).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x55;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_snapshot(&path), Err(SgError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }
 

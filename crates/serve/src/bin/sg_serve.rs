@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sg_exec::{DurabilityConfig, ExecConfig, FsyncPolicy, ShardedExecutor, StorageMode, WriteOp};
+use sg_exec::{DurabilityConfig, ExecConfig, FsyncPolicy, ShardedExecutor, WriteOp};
 use sg_obs::Registry;
 use sg_serve::{BatchPolicy, ServeConfig, Server};
 use sg_sig::Signature;
@@ -88,7 +88,6 @@ struct Opts {
     timeout_ms: u64,
     data_dir: Option<String>,
     fsync: FsyncPolicy,
-    storage: StorageMode,
     checkpoint_ms: Option<u64>,
     trace: bool,
     slow_ms: Option<u64>,
@@ -116,7 +115,6 @@ impl Default for Opts {
             timeout_ms: 1000,
             data_dir: None,
             fsync: FsyncPolicy::Always,
-            storage: StorageMode::Heap,
             checkpoint_ms: None,
             trace: false,
             slow_ms: None,
@@ -144,15 +142,15 @@ const USAGE: &str = "sg-serve: serve a generated SG-tree dataset over TCP
   --max-wait-us N         micro-batch window, microseconds (default 500)
   --queue-cap N           admission queue capacity (default 256)
   --timeout-ms N          default per-request deadline (default 1000)
-  --data-dir PATH         run durably: WAL + checkpoints under PATH,
-                          replayed on restart; live writes survive kill -9
+  --data-dir PATH         run durably: shard trees live in memory-mapped
+                          copy-on-write page files under PATH, with a WAL
+                          each; restart maps the committed pages and
+                          replays only the WAL tail, and live writes
+                          survive kill -9
   --fsync always|os       WAL sync policy with --data-dir (default always)
-  --storage heap|mmap     what the WAL checkpoints into (default heap):
-                          `mmap` stores shard trees in a memory-mapped
-                          copy-on-write page file — queries run on pinned
-                          snapshots and restart replays only the WAL tail
-  --checkpoint-ms N       fold the WAL into the checkpoint every N ms in
-                          the background (bounds log size and restart)
+  --checkpoint-ms N       commit the page files and truncate the WALs
+                          every N ms in the background (bounds log size
+                          and restart)
   --trace                 turn on the flight recorder (spans served at
                           /debug/flight; kill -USR1 dumps them to a file)
   --slow-ms N             capture requests slower than N ms, with their
@@ -200,11 +198,6 @@ fn parse_opts() -> Result<Opts, String> {
                     "os" => FsyncPolicy::OsOnly,
                     other => return Err(format!("--fsync: `{other}` is not `always` or `os`")),
                 }
-            }
-            "--storage" => {
-                let v = val("--storage")?;
-                opts.storage = StorageMode::parse(&v)
-                    .ok_or_else(|| format!("--storage: `{v}` is not `heap` or `mmap`"))?;
             }
             "--checkpoint-ms" => {
                 opts.checkpoint_ms = Some(parse_num(&val("--checkpoint-ms")?, "--checkpoint-ms")?)
@@ -325,14 +318,10 @@ fn main() {
     };
     let exec = match &opts.data_dir {
         Some(dir) => {
-            eprintln!(
-                "sg-serve: opening durable index at {dir} (storage={})",
-                opts.storage.as_str()
-            );
+            eprintln!("sg-serve: opening durable index at {dir}");
             let durability = DurabilityConfig {
                 dir: dir.into(),
                 fsync: opts.fsync,
-                storage: opts.storage,
             };
             let exec = match ShardedExecutor::open_durable(opts.nbits, &exec_config, &durability) {
                 Ok(e) => e,

@@ -304,7 +304,7 @@ fn render(
             fmt_count(rate(history, "ingest.wal_syncs")),
         ),
     );
-    // Page-store row: present only when the server runs --storage=mmap
+    // Page-store row: present only when the server runs with --data-dir
     // (the metrics exist only once a CowStore registered them).
     if metric(history, "store.pages_mapped").is_some() {
         push(

@@ -35,7 +35,7 @@ fn open_exec(dir: &std::path::Path) -> ShardedExecutor {
             partitioner: Partitioner::RoundRobin,
             ..ExecConfig::default()
         },
-        &DurabilityConfig::new(dir),
+        &DurabilityConfig::mmap(dir),
     )
     .expect("open durable executor")
 }

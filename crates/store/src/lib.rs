@@ -1,18 +1,18 @@
 //! # sg-store — mmap'd copy-on-write page store with snapshot reads
 //!
-//! The durable storage layer under the SG-tree. `crates/pager` serves
-//! trees from a heap [`MemStore`](sg_pager::MemStore) rebuilt on every
-//! open by replaying the *whole* write-ahead log; this crate replaces
-//! that with a memory-mapped, copy-on-write page file in the style of
-//! LMDB / jammdb (see SNIPPETS.md snippet 1):
+//! The durable storage layer under the SG-tree, and the only one: every
+//! durable executor shard keeps its tree in a memory-mapped,
+//! copy-on-write page file in the style of LMDB / jammdb (see SNIPPETS.md
+//! snippet 1), with the write-ahead log from `crates/pager` on top.
+//! Memory-only trees use [`MemStore`](sg_pager::MemStore) instead.
 //!
 //! * **[`CowStore`]** implements [`sg_pager::PageStore`], so an
 //!   [`SgTree`](../sg_tree/struct.SgTree.html) persists through it
 //!   unchanged — node pages land in the file as they are written.
 //! * **Snapshot-isolated reads.** [`CowStore::publish`] freezes the
 //!   current page mapping; [`CowStore::snapshot`] returns a pinned,
-//!   lock-free read-only [`Snapshot`] view. Queries run on views and
-//!   never touch the writer's locks.
+//!   lock-free read-only [`Snapshot`] view whose reads never touch the
+//!   writer's locks.
 //! * **O(tail) restart.** [`CowStore::commit`] makes the current state
 //!   durable with a dual-meta-page flip (one flushed CRC'd record is the
 //!   whole commit) and records the WAL watermark it covers; on reopen,

@@ -23,7 +23,7 @@ fn main() {
         |names: &[&str]| -> Signature { Signature::from_iter(N, names.iter().map(|n| id(n))) };
 
     // The index lives on fixed-size pages; MemStore keeps them in memory,
-    // FileStore would put the same bytes on disk.
+    // sg_store::CowStore would put the same bytes in an mmap'd page file.
     let store = Arc::new(MemStore::new(1024));
     let mut tree = SgTree::create(store, TreeConfig::new(N)).expect("valid config");
 

@@ -17,7 +17,7 @@
 //! land exactly where an uninterrupted run would have.
 
 use sg_bench::workloads::crash_ops;
-use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, StorageMode, WriteOp};
+use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, WriteOp};
 use sg_pager::MemStore;
 use sg_sig::{Metric, Signature};
 use sg_tree::{SgTree, Tid, TreeConfig};
@@ -75,7 +75,6 @@ fn state_matches(exec: &ShardedExecutor, oracle: &BTreeMap<Tid, Signature>) -> b
 fn run_child_and_kill(
     dir: &std::path::Path,
     kill_after_acks: usize,
-    storage: StorageMode,
     ckpt_every: usize,
     seed: u64,
 ) -> usize {
@@ -86,7 +85,6 @@ fn run_child_and_kill(
             &SHARDS.to_string(),
             &N_OPS.to_string(),
             &seed.to_string(),
-            storage.as_str(),
             &ckpt_every.to_string(),
         ])
         .stdout(Stdio::piped())
@@ -118,7 +116,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn reopen(dir: &std::path::Path, storage: StorageMode) -> ShardedExecutor {
+fn reopen(dir: &std::path::Path) -> ShardedExecutor {
     ShardedExecutor::open_durable(
         NBITS,
         &ExecConfig {
@@ -126,35 +124,25 @@ fn reopen(dir: &std::path::Path, storage: StorageMode) -> ShardedExecutor {
             partitioner: Partitioner::RoundRobin,
             ..ExecConfig::default()
         },
-        &DurabilityConfig::new(dir).storage(storage),
+        &DurabilityConfig::mmap(dir),
     )
     .expect("reopen durable executor")
 }
 
-#[test]
-fn sigkilled_ingest_recovers_exactly_the_acked_prefix() {
-    sigkilled_prefix_roundtrip(StorageMode::Heap, "prefix");
-}
-
-/// Same acked-prefix oracle, but the shards live in the mmap'd
-/// copy-on-write page store: a SIGKILL leaves an arbitrary mix of
-/// committed pages and WAL tail, and recovery must still land on
-/// exactly one acked prefix.
+/// The shards live in the mmap'd copy-on-write page store: a SIGKILL
+/// leaves an arbitrary mix of committed pages and WAL tail, and recovery
+/// must still land on exactly one acked prefix.
 #[test]
 fn sigkilled_mmap_ingest_recovers_exactly_the_acked_prefix() {
-    sigkilled_prefix_roundtrip(StorageMode::Mmap, "mmap-prefix");
-}
-
-fn sigkilled_prefix_roundtrip(storage: StorageMode, tag: &str) {
     let ops = crash_ops(NBITS, N_OPS, SEED);
     // Three kill points: early (mostly empty WAL), mid-stream, and late
     // (deletes and upserts in the tail are in play).
     for (round, kill_after) in [20usize, 120, 260].into_iter().enumerate() {
-        let dir = fresh_dir(&format!("{tag}-{round}"));
-        let acked = run_child_and_kill(&dir, kill_after, storage, 0, SEED);
+        let dir = fresh_dir(&format!("mmap-prefix-{round}"));
+        let acked = run_child_and_kill(&dir, kill_after, 0, SEED);
         assert!(acked >= kill_after, "read fewer acks than the trigger");
 
-        let exec = reopen(&dir, storage);
+        let exec = reopen(&dir);
         let report = exec.recovery().expect("durable reopen has a report");
         assert!(
             report.replayed > 0,
@@ -217,50 +205,14 @@ fn sigkilled_prefix_roundtrip(storage: StorageMode, tag: &str) {
     }
 }
 
-#[test]
-fn checkpoint_then_crash_replays_only_the_wal_suffix() {
-    let ops = crash_ops(NBITS, N_OPS, SEED ^ 1);
-    let dir = fresh_dir("ckpt");
-
-    // Apply a prefix, checkpoint (snapshot + WAL truncate), then more ops
-    // without a checkpoint — all in-process, then simulate the crash by
-    // dropping the executor without any graceful shutdown.
-    let exec = reopen(&dir, StorageMode::Heap);
-    for ack in exec.write_batch(ops[..200].to_vec()) {
-        ack.expect("prefix op");
-    }
-    exec.checkpoint().expect("checkpoint");
-    for ack in exec.write_batch(ops[200..].to_vec()) {
-        ack.expect("suffix op");
-    }
-    drop(exec);
-
-    let exec = reopen(&dir, StorageMode::Heap);
-    let report = exec.recovery().expect("durable reopen has a report");
-    // The checkpoint absorbed the prefix: only the post-checkpoint ops
-    // travel through the WAL on reopen.
-    assert!(
-        report.wal_records <= (N_OPS - 200) as u64,
-        "checkpoint did not truncate the WAL (wal_records={})",
-        report.wal_records
-    );
-    assert!(
-        state_matches(&exec, &oracle_state(&ops, N_OPS)),
-        "post-checkpoint recovery lost or duplicated ops"
-    );
-    drop(exec);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Mmap twin of the checkpoint test: after a commit (one meta-page flip
-/// per shard) only the WAL tail replays, and the recovered state is
-/// byte-exact.
+/// After a commit (one meta-page flip per shard) only the WAL tail
+/// replays, and the recovered state is byte-exact.
 #[test]
 fn mmap_checkpoint_then_crash_replays_only_the_wal_suffix() {
     let ops = crash_ops(NBITS, N_OPS, SEED ^ 2);
     let dir = fresh_dir("mmap-ckpt");
 
-    let exec = reopen(&dir, StorageMode::Mmap);
+    let exec = reopen(&dir);
     for ack in exec.write_batch(ops[..200].to_vec()) {
         ack.expect("prefix op");
     }
@@ -270,7 +222,7 @@ fn mmap_checkpoint_then_crash_replays_only_the_wal_suffix() {
     }
     drop(exec);
 
-    let exec = reopen(&dir, StorageMode::Mmap);
+    let exec = reopen(&dir);
     let report = exec.recovery().expect("durable reopen has a report");
     assert!(
         report.wal_records <= (N_OPS - 200) as u64,
@@ -301,13 +253,13 @@ fn sigkill_during_mmap_checkpoint_keeps_the_meta_flip_atomic() {
     let ops = crash_ops(NBITS, N_OPS, SEED ^ 3);
     for (round, kill_after) in [17usize, 64, 129, 248].into_iter().enumerate() {
         let dir = fresh_dir(&format!("mmap-flip-{round}"));
-        let acked = run_child_and_kill(&dir, kill_after, StorageMode::Mmap, 8, SEED ^ 3);
+        let acked = run_child_and_kill(&dir, kill_after, 8, SEED ^ 3);
         assert!(acked >= kill_after, "read fewer acks than the trigger");
 
         // The open itself is the first assertion: a torn meta slot that
         // decoded as valid would corrupt the tree and fail validation
         // (or panic) here.
-        let exec = reopen(&dir, StorageMode::Mmap);
+        let exec = reopen(&dir);
         let k = (acked..=N_OPS.min(acked + 64))
             .find(|&k| state_matches(&exec, &oracle_state(&ops, k)))
             .unwrap_or_else(|| {

@@ -20,7 +20,7 @@
 //!   recall on close neighbors stays above a measured floor.
 
 use sg_bench::workloads::{build_tree, pairs_of, PAGE_SIZE, POOL_FRAMES, SEED};
-use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, StorageMode, WriteOp};
+use sg_exec::{DurabilityConfig, ExecConfig, Partitioner, ShardedExecutor, WriteOp};
 use sg_inverted::InvertedIndex;
 use sg_minhash::{LshParams, MinHashLsh};
 use sg_pager::MemStore;
@@ -562,7 +562,7 @@ fn mmap_executor_matches_oracle_during_active_checkpoints() {
             pool_frames: POOL_FRAMES,
             ..ExecConfig::default()
         },
-        &DurabilityConfig::os_only(&dir).storage(StorageMode::Mmap),
+        &DurabilityConfig::os_only(&dir),
     )
     .unwrap();
     let inserts: Vec<WriteOp> = data
@@ -633,7 +633,7 @@ fn mmap_executor_matches_oracle_during_active_checkpoints() {
             pool_frames: POOL_FRAMES,
             ..ExecConfig::default()
         },
-        &DurabilityConfig::os_only(&dir).storage(StorageMode::Mmap),
+        &DurabilityConfig::os_only(&dir),
     )
     .unwrap();
     assert_eq!(exec.len(), data.len() as u64);

@@ -1,19 +1,31 @@
-//! Disk persistence: the same tree bytes served from a real file, across
-//! close/reopen, with I/O accounting.
+//! Disk persistence: the same tree bytes served from a real mmap'd
+//! copy-on-write page file, across commit/close/reopen, with I/O
+//! accounting.
 
-use sg_pager::{FileStore, PageStore};
+use sg_pager::PageStore;
 use sg_quest::basket::{BasketParams, PatternPool};
 use sg_sig::{Metric, Signature};
+use sg_store::CowStore;
 use sg_tree::{SgTree, TreeConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
+    let path = std::env::temp_dir().join(format!(
         "sg-tree-it-{tag}-{}-{:?}.pages",
         std::process::id(),
         std::thread::current().id()
-    ))
+    ));
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+/// Opens (creating if absent) the page file at `path`, returning the
+/// store handle (to commit through) and the same store as a `PageStore`.
+fn open_store(path: &Path) -> (Arc<CowStore>, Arc<dyn PageStore>) {
+    let (store, _) = CowStore::open(path, 4096).unwrap();
+    let pages: Arc<dyn PageStore> = Arc::clone(&store) as Arc<dyn PageStore>;
+    (store, pages)
 }
 
 fn workload(n: usize) -> (u32, Vec<(u64, Signature)>, Vec<Signature>) {
@@ -40,7 +52,7 @@ fn file_backed_tree_roundtrip() {
     let m = Metric::hamming();
     let mut expected = Vec::new();
     {
-        let store: Arc<dyn PageStore> = Arc::new(FileStore::create(&path, 4096).unwrap());
+        let (cow, store) = open_store(&path);
         let mut tree = SgTree::create(store, TreeConfig::new(nbits)).unwrap();
         for (tid, sig) in &data {
             tree.insert(*tid, sig);
@@ -49,9 +61,10 @@ fn file_backed_tree_roundtrip() {
             expected.push(tree.knn(q, 5, &m).0);
         }
         tree.flush();
+        cow.commit(0, true).unwrap();
     }
     {
-        let store: Arc<dyn PageStore> = Arc::new(FileStore::open(&path, 4096).unwrap());
+        let (_, store) = open_store(&path);
         let tree = SgTree::open(store, 0, TreeConfig::new(nbits)).unwrap();
         assert_eq!(tree.len() as usize, data.len());
         tree.validate();
@@ -70,14 +83,16 @@ fn reopened_tree_supports_updates() {
     let path = temp_path("updates");
     let (nbits, data, _) = workload(1500);
     {
-        let store: Arc<dyn PageStore> = Arc::new(FileStore::create(&path, 4096).unwrap());
+        let (cow, store) = open_store(&path);
         let mut tree = SgTree::create(store, TreeConfig::new(nbits)).unwrap();
         for (tid, sig) in &data[..1000] {
             tree.insert(*tid, sig);
         }
-    } // Drop flushes.
+        drop(tree); // Drop flushes the tree's meta page.
+        cow.commit(0, true).unwrap();
+    }
     {
-        let store: Arc<dyn PageStore> = Arc::new(FileStore::open(&path, 4096).unwrap());
+        let (_, store) = open_store(&path);
         let mut tree = SgTree::open(store, 0, TreeConfig::new(nbits)).unwrap();
         for (tid, sig) in &data[1000..] {
             tree.insert(*tid, sig);
@@ -95,7 +110,7 @@ fn reopened_tree_supports_updates() {
 fn cold_cache_ios_track_nodes() {
     let path = temp_path("ios");
     let (nbits, data, queries) = workload(4000);
-    let store: Arc<dyn PageStore> = Arc::new(FileStore::create(&path, 4096).unwrap());
+    let (_, store) = open_store(&path);
     let mut tree = SgTree::create(store, TreeConfig::new(nbits).pool_frames(512)).unwrap();
     for (tid, sig) in &data {
         tree.insert(*tid, sig);
@@ -121,7 +136,7 @@ fn limited_memory_still_correct() {
     // changing memory; emulate a tiny buffer pool.
     let path = temp_path("tinypool");
     let (nbits, data, queries) = workload(2000);
-    let store: Arc<dyn PageStore> = Arc::new(FileStore::create(&path, 4096).unwrap());
+    let (_, store) = open_store(&path);
     let mut tree = SgTree::create(store, TreeConfig::new(nbits).pool_frames(2)).unwrap();
     for (tid, sig) in &data {
         tree.insert(*tid, sig);

@@ -544,7 +544,7 @@ fn client_trace_id_yields_connected_span_chain() {
                 shards: 2,
                 ..ExecConfig::default()
             },
-            &DurabilityConfig::new(&dir),
+            &DurabilityConfig::mmap(&dir),
         )
         .unwrap(),
     );
